@@ -135,7 +135,6 @@ func DefaultConfig() Config {
 		Mix:           "scan",
 		Queue:         256,
 		MaxBatch:      1024,
-		Window:        Duration(2 * time.Millisecond),
 		FaultSeed:     1,
 		StragglerSkew: 8,
 		Backoff:       Duration(200 * time.Microsecond),
@@ -236,7 +235,7 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) map[string]string {
 	fs.IntVar(&cfg.Queue, "queue", cfg.Queue, "intake queue depth")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "max queries per shared scan")
 	fs.IntVar(&cfg.MaxBatch, "maxbatch", cfg.MaxBatch, "alias for -max-batch")
-	fs.DurationVar((*time.Duration)(&cfg.Window), "window", time.Duration(cfg.Window), "batching window")
+	fs.DurationVar((*time.Duration)(&cfg.Window), "window", time.Duration(cfg.Window), "scan batching window (0 = group commit: a scan starts at once unless a pass over its table is running)")
 	fs.DurationVar((*time.Duration)(&cfg.Deadline), "deadline", time.Duration(cfg.Deadline), "per-request deadline (0 = none)")
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count of the replicated serving tier (0 or 1 = single server)")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "replicas per partition in the sharded tier (0 = default 2; needs -shards > 1)")

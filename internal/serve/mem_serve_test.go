@@ -216,6 +216,25 @@ func TestMemoryChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// submit retries what the governor sheds with ErrMemoryPressure, as a
+	// client honouring a retryable 429 does. The alloc-fail check needs it:
+	// the injector is one seeded stream (seed 17 first fires on its 34th
+	// draw) and only admitted operators' charges draw from it. When all 48
+	// clients arrive before the first heavy request finishes, as few as
+	// three win admission and make 27 draws. Every heavy request spills and
+	// draws at least nine times, so once all 32 are admitted in turn the
+	// 34th draw always comes.
+	retryUntil := time.Now().Add(10 * time.Second)
+	submit := func(req Request) (Response, error) {
+		for {
+			resp, err := s.Submit(context.Background(), req)
+			if !errors.Is(err, errs.ErrMemoryPressure) || time.Now().After(retryUntil) {
+				return resp, err
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
 	type result struct {
 		kind string
 		lo   int64
@@ -237,10 +256,10 @@ func TestMemoryChaos(t *testing.T) {
 				})
 				results[c] = result{kind: "scan", lo: lo, resp: resp, err: err}
 			case 1:
-				resp, err := s.Submit(context.Background(), groupRq)
+				resp, err := submit(groupRq)
 				results[c] = result{kind: "agg", resp: resp, err: err}
 			default:
-				resp, err := s.Submit(context.Background(), Request{Op: OpJoin, Join: joinIn, Algorithm: join.AlgNPO})
+				resp, err := submit(Request{Op: OpJoin, Join: joinIn, Algorithm: join.AlgNPO})
 				results[c] = result{kind: "join", resp: resp, err: err}
 			}
 		}()

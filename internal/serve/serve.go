@@ -8,9 +8,10 @@
 //     is full the server rejects with ErrOverloaded instead of buffering
 //     without bound (admission control / backpressure);
 //   - scan-shaped requests against the same registered relation are collected
-//     for a batching window (or until MaxBatch) and executed as ONE
-//     cooperative clock scan (scan.ParallelShared), so memory traffic is paid
-//     once per batch rather than once per client;
+//     while a pass over that relation is in flight (group commit; or for a
+//     fixed BatchWindow, or until MaxBatch) and executed as ONE cooperative
+//     clock scan (scan.ParallelShared), so memory traffic is paid once per
+//     batch rather than once per client;
 //   - join/aggregate/query requests flow through the morsel scheduler under a
 //     per-server simulated-core budget, so concurrent operations cannot
 //     oversubscribe the machine;
@@ -237,7 +238,14 @@ type Options struct {
 	// least one token for batch work (InteractiveReserve < Workers).
 	InteractiveReserve int
 	// BatchWindow is how long the batcher waits, after the first scan
-	// request arrives, for more scans to share the pass. Default 500µs.
+	// request arrives, for more scans to share the pass. The default, 0,
+	// is group commit: a scan whose table has no shared pass in flight
+	// dispatches as soon as the interactive lane is drained, and scans that
+	// arrive while one is in flight share the next pass, which starts when
+	// it ends. An interactive scan never waits for a batch-priority pass. A
+	// lone scan therefore never waits on a timer — Go rounds
+	// timers under 1ms up to a 1ms poll, so even a 500µs window cost every
+	// lone scan over a millisecond.
 	BatchWindow time.Duration
 	// MaxBatch caps the number of scan requests sharing one pass; reaching
 	// it flushes immediately. Default 1024.
@@ -385,9 +393,6 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	case o.InteractiveReserve >= o.Workers:
 		return o, fmt.Errorf("serve: interactive reserve %d out of range 0..%d: %w", o.InteractiveReserve, o.Workers-1, errs.ErrWorkersOutOfRange)
 	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 500 * time.Microsecond
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
 	}
@@ -431,7 +436,8 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 // pending is one admitted request waiting for its outcome. The spans are
 // nil (no-op) when tracing is off or the request fell outside the sampling
 // rate: span is the request's root, queueSpan covers enqueue → dispatch,
-// batchSpan covers a scan's wait while its batch assembles.
+// batchSpan covers a scan's wait while its batch assembles (the window, or
+// the same-table pass in flight under group commit, plus core reservation).
 type pending struct {
 	ctx  context.Context
 	req  Request
@@ -496,6 +502,15 @@ type Server struct {
 
 	wg sync.WaitGroup // dispatcher + in-flight executors
 
+	// passEnded lists the shared scan passes that finished since the
+	// dispatcher last looked (guarded by passMu); passKick (capacity 1)
+	// wakes the dispatcher for them. runBatch reports through both, under
+	// group commit only, without ever blocking, so a pass that ends after
+	// the dispatcher returned is harmless.
+	passMu    sync.Mutex
+	passEnded []passKey
+	passKick  chan struct{}
+
 	// testHold, when non-nil, blocks every executor after it has acquired
 	// its core tokens until the channel is closed. Tests use it to pin the
 	// pipeline and exercise backpressure deterministically.
@@ -550,6 +565,7 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		intake:   make(chan *pending, opts.QueueDepth),
 		intakeLo: make(chan *pending, opts.BatchQueueDepth),
+		passKick: make(chan struct{}, 1),
 		cores:    newCoreSem(opts.Workers, opts.Workers-opts.InteractiveReserve),
 		tables:   make(map[string]*scan.Relation),
 		tenants:  make(map[string]struct{}),
@@ -1362,6 +1378,14 @@ type batch struct {
 	lo      bool // every member is batch-priority
 }
 
+// passKey names the shared passes in flight over one table by class. Group
+// commit counts them apart so that an interactive batch never waits behind
+// a batch-class pass, which may sit parked until batch cores free up.
+type passKey struct {
+	table string
+	lo    bool
+}
+
 // parkedWork is batch-class work the dispatcher could not place immediately:
 // one non-scan operation (p) or one all-batch scan pass (b). Parked work
 // waits, FIFO, for the core pool's freed signal. While anything is parked
@@ -1396,11 +1420,27 @@ func (s *Server) interactiveFloor(want int) int {
 // placed with a try-acquire against the batch core cap and parked when the
 // tokens are not there, so a batch backlog cannot add head-of-line latency
 // to the interactive lane.
+//
+// Under group commit (BatchWindow ≤ 0) the open batch flushes once the
+// interactive lane is drained if no pass over its table that it would follow
+// is in flight, otherwise when that pass ends; with a window it flushes when
+// the window expires. MaxBatch and a scan of another table flush it in
+// either mode. An interactive batch follows only interactive passes, so the
+// priority lanes keep their guarantee; an all-batch one follows any pass.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	var cur *batch
 	var window <-chan time.Time // nil when no batch is open
 	var parked []parkedWork
+	groupCommit := s.groupCommit()
+	inflight := make(map[passKey]int) // group commit: passes dispatched and not yet ended
+	follows := func(b *batch) bool {  // a pass b should wait for is in flight
+		n := inflight[passKey{b.table, false}]
+		if b.lo {
+			n += inflight[passKey{b.table, true}]
+		}
+		return n > 0
+	}
 	hiCh, loCh := s.intake, s.intakeLo
 
 	// tryParked re-dispatches parked batch work, oldest first, stopping at
@@ -1427,6 +1467,9 @@ func (s *Server) dispatch() {
 		}
 		b := cur
 		cur, window = nil, nil
+		if groupCommit {
+			inflight[passKey{b.table, b.lo}]++
+		}
 		b.workers = s.opts.Workers // a shared pass owns the whole budget...
 		if s.brk != nil && s.brk.degraded() {
 			b.workers = s.opts.DegradedWorkers // ...unless the server is degraded
@@ -1500,14 +1543,17 @@ func (s *Server) dispatch() {
 				return
 			}
 			cur = &batch{table: p.req.Table, rel: rel, vt: s.vecFor(p.req.Table, rel), lo: true}
-			window = time.After(s.opts.BatchWindow)
+			if !groupCommit {
+				window = time.After(s.opts.BatchWindow)
+			}
 		}
 		// A single interactive member promotes the whole pass: sharing the
 		// scan with batch tenants is free, delaying an interactive member
 		// behind the batch core cap is not.
 		cur.lo = cur.lo && p.req.Priority.batchClass()
 		// The batch-assembly span covers the wait from joining the batch
-		// until the shared pass starts (window + core reservation).
+		// until the shared pass starts: the window, or the same-table pass
+		// in flight under group commit, plus the core reservation.
 		p.batchSpan = p.span.Child("batch-assembly")
 		cur.reqs = append(cur.reqs, p)
 		if len(cur.reqs) >= s.opts.MaxBatch {
@@ -1543,6 +1589,9 @@ func (s *Server) dispatch() {
 			}
 			return
 		}
+		if groupCommit && cur != nil && !follows(cur) {
+			flush() // no pass to follow in flight: nobody to wait for
+		}
 		// While batch work is parked the batch lane is left untouched and
 		// the freed channel joins the select, so parked work resumes the
 		// moment cores free up.
@@ -1569,7 +1618,33 @@ func (s *Server) dispatch() {
 			tryParked()
 		case <-window:
 			flush()
+		case <-s.passKick:
+			s.passMu.Lock()
+			for _, k := range s.passEnded {
+				if inflight[k]--; inflight[k] <= 0 {
+					delete(inflight, k)
+				}
+			}
+			s.passEnded = s.passEnded[:0]
+			s.passMu.Unlock()
 		}
+	}
+}
+
+// groupCommit reports whether scan batches form by group commit rather than
+// by a fixed BatchWindow.
+func (s *Server) groupCommit() bool { return s.opts.BatchWindow <= 0 }
+
+// endPass tells the dispatcher that a shared pass has ended. It never
+// blocks: the kick is dropped when one is already pending, and the
+// dispatcher reads every pass listed by then.
+func (s *Server) endPass(k passKey) {
+	s.passMu.Lock()
+	s.passEnded = append(s.passEnded, k)
+	s.passMu.Unlock()
+	select {
+	case s.passKick <- struct{}{}:
+	default:
 	}
 }
 
@@ -1578,6 +1653,9 @@ func (s *Server) dispatch() {
 // each request is the batch makespan divided by the batch size.
 func (s *Server) runBatch(b *batch) {
 	defer s.wg.Done()
+	if s.groupCommit() {
+		defer s.endPass(passKey{b.table, b.lo}) // after the cores are back, so a follower pass can take them
+	}
 	defer s.cores.release(b.workers, b.lo)
 	if c := s.testHold; c != nil {
 		<-c

@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"hwstar/internal/hw"
 	"hwstar/internal/join"
 	"hwstar/internal/scan"
+	"hwstar/internal/trace"
 	"hwstar/internal/workload"
 )
 
@@ -34,7 +38,7 @@ func testRelation(rows int) ([][]int64, func(lo, hi int64) int64) {
 	return cols, expect
 }
 
-func newServer(t *testing.T, opts Options) *Server {
+func newServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	s, err := New(hw.Server2S(), opts)
 	if err != nil {
@@ -107,6 +111,225 @@ func TestScanBatching(t *testing.T) {
 	}
 	if bs := s.Metrics().Histogram("serve.batch_size"); bs.Count() != 1 || bs.Max() != clients {
 		t.Fatalf("batch size histogram: %s", bs.Summary())
+	}
+}
+
+// TestGroupCommitFollowersShareNextPass pins group commit under the default
+// options: a lone scan dispatches at once as a batch of one, scans of the
+// same table arriving while that pass is held all stay queued in the next
+// batch, and once the pass ends they run as ONE pass, each charged an equal
+// share of its makespan.
+func TestGroupCommitFollowersShareNextPass(t *testing.T) {
+	const followers = 6
+	cols, expect := testRelation(20000)
+	tr := trace.New(trace.Config{Capacity: 16, SampleEvery: 1})
+	s := newServer(t, Options{Trace: tr})
+	defer s.Close()
+	if err := s.Register("events", cols); err != nil {
+		t.Fatal(err)
+	}
+	hold := make(chan struct{})
+	s.testHold = hold
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // a failed wait must not leave Close stuck on the held pass
+	query := func(i int) scan.Query {
+		lo := int64(i * 1000)
+		return scan.Query{FilterCol: 0, Lo: lo, Hi: lo + 2500, AggCol: 1}
+	}
+	type answer struct {
+		resp Response
+		err  error
+	}
+	submit := func(i int, out chan<- answer) {
+		resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: query(i)})
+		out <- answer{resp, err}
+	}
+
+	// The lone scan's pass reaches execution (takes cores) with nothing else
+	// queued and no window to wait out.
+	lone := make(chan answer, 1)
+	go submit(0, lone)
+	waitFor(t, func() bool {
+		s.cores.mu.Lock()
+		defer s.cores.mu.Unlock()
+		return s.cores.free < s.opts.Workers
+	}, "lone scan never dispatched")
+
+	// Followers arrive one by one while the lone pass is held. Each must be
+	// taken off the intake into the open batch rather than flushed: a
+	// flushed pass would block the dispatcher on the held cores and leave
+	// the later followers in the intake queue.
+	rest := make([]chan answer, followers)
+	for i := range rest {
+		rest[i] = make(chan answer, 1)
+		go submit(i+1, rest[i])
+		time.Sleep(2 * time.Millisecond)
+	}
+	waitFor(t, func() bool {
+		return s.Metrics().Histogram("serve.queue_wait_ms").Count() == 1+followers
+	}, "followers were not all taken into the next batch")
+	release()
+
+	a := <-lone
+	if a.err != nil || a.resp.BatchSize != 1 || a.resp.Sum != expect(0, 2500) {
+		t.Fatalf("lone scan: %+v, err %v; want batch of 1, sum %d", a.resp, a.err, expect(0, 2500))
+	}
+	var per float64
+	for i, c := range rest {
+		a := <-c
+		q := query(i + 1)
+		if a.err != nil {
+			t.Fatalf("follower %d: %v", i, a.err)
+		}
+		if a.resp.Sum != expect(q.Lo, q.Hi) || a.resp.BatchSize != followers {
+			t.Fatalf("follower %d: sum %d batch %d, want sum %d batch %d", i, a.resp.Sum, a.resp.BatchSize, expect(q.Lo, q.Hi), followers)
+		}
+		if i == 0 {
+			per = a.resp.SimCycles
+		} else if a.resp.SimCycles != per {
+			t.Fatalf("follower %d charged %.0f cycles, follower 0 %.0f", i, a.resp.SimCycles, per)
+		}
+	}
+	if bs := s.Metrics().Histogram("serve.batch_size"); bs.Count() != 2 || bs.Max() != followers {
+		t.Fatalf("want two passes (1 and %d): %s", followers, bs.Summary())
+	}
+	// The pass's trace leader carries the whole makespan; every follower
+	// was charged makespan/N.
+	var makespan float64
+	for _, td := range tr.Snapshot() {
+		for _, a := range td.Root().Attrs {
+			if a.Key == "batch_size" && a.Value == strconv.Itoa(followers) {
+				makespan = max(makespan, td.SumCycles("execute"))
+			}
+		}
+	}
+	if got := makespan / followers; math.Abs(got-per) > 1e-9*got {
+		t.Fatalf("per-query charge %.3f, want makespan/N = %.3f", per, got)
+	}
+}
+
+// TestGroupCommitOtherTableNotHeld checks that group commit waits only on a
+// pass over the same table: while a pass over one table is held in flight, a
+// scan of another table still dispatches at once.
+func TestGroupCommitOtherTableNotHeld(t *testing.T) {
+	cols, expect := testRelation(10000)
+	s := newServer(t, Options{})
+	defer s.Close()
+	for _, name := range []string{"a", "b"} {
+		if err := s.Register(name, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold := make(chan struct{})
+	s.testHold = hold
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	q := scan.Query{FilterCol: 0, Lo: 100, Hi: 4000, AggCol: 1}
+	type answer struct {
+		resp Response
+		err  error
+	}
+	done := make(chan answer, 2)
+	submit := func(table string, prio Priority) {
+		resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: table, Query: q, Priority: prio})
+		done <- answer{resp, err}
+	}
+
+	// A batch-priority pass over "a" is capped below the full budget, so
+	// the interactive reserve stays free for the scan of "b".
+	go submit("a", PriorityBatch)
+	waitFor(t, func() bool {
+		s.cores.mu.Lock()
+		defer s.cores.mu.Unlock()
+		return s.cores.batchHeld > 0
+	}, "pass over a never dispatched")
+	go submit("b", PriorityInteractive)
+	waitFor(t, func() bool {
+		s.cores.mu.Lock()
+		defer s.cores.mu.Unlock()
+		return s.cores.free == 0 && s.cores.batchHeld > 0
+	}, "scan of b waited for the pass over a")
+	release()
+	for i := 0; i < 2; i++ {
+		a := <-done
+		if a.err != nil || a.resp.BatchSize != 1 || a.resp.Sum != expect(q.Lo, q.Hi) {
+			t.Fatalf("scan: %+v, err %v", a.resp, a.err)
+		}
+	}
+}
+
+// TestGroupCommitInteractiveNotHeldByBatchPass keeps the priority-lane
+// guarantee under group commit with the default options: a batch-priority
+// pass over a table, whether running on batch cores or parked waiting for
+// them, must not hold back an interactive scan of the same table.
+func TestGroupCommitInteractiveNotHeldByBatchPass(t *testing.T) {
+	cols, expect := testRelation(10000)
+	q := scan.Query{FilterCol: 0, Lo: 100, Hi: 4000, AggCol: 1}
+	for _, tc := range []struct {
+		name   string
+		parked bool // a batch operation holds batch cores the scan needs
+	}{{"held", false}, {"parked", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, Options{})
+			defer s.Close()
+			if err := s.Register("events", cols); err != nil {
+				t.Fatal(err)
+			}
+			hold := make(chan struct{})
+			s.testHold = hold
+			release := sync.OnceFunc(func() { close(hold) })
+			defer release()
+			errc := make(chan error, 3)
+			admitted := func(n int) func() bool {
+				return func() bool { return s.Metrics().Histogram("serve.queue_wait_ms").Count() == n }
+			}
+			scanOf := func(prio Priority) {
+				resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: q, Priority: prio})
+				if err == nil && (resp.BatchSize != 1 || resp.Sum != expect(q.Lo, q.Hi)) {
+					err = fmt.Errorf("%v scan: batch %d sum %d, want batch 1 sum %d", prio, resp.BatchSize, resp.Sum, expect(q.Lo, q.Hi))
+				}
+				errc <- err
+			}
+			n := 0
+			if tc.parked {
+				n++
+				go func() {
+					_, err := s.Submit(context.Background(), Request{
+						Op: OpGroupSum, Keys: workload.UniformInts(91, 2000, 64), Vals: workload.UniformInts(92, 2000, 50),
+						Strategy: agg.StrategyLocalMerge, Priority: PriorityBatch,
+					})
+					errc <- err
+				}()
+				waitFor(t, func() bool {
+					s.cores.mu.Lock()
+					defer s.cores.mu.Unlock()
+					return s.cores.batchHeld > 0
+				}, "batch operation never took cores")
+			}
+			n++
+			go scanOf(PriorityBatch)
+			if tc.parked {
+				waitFor(t, admitted(n), "batch scan never reached the dispatcher")
+			} else {
+				waitFor(t, func() bool {
+					s.cores.mu.Lock()
+					defer s.cores.mu.Unlock()
+					return s.cores.batchHeld > 0
+				}, "batch scan never dispatched")
+			}
+			go scanOf(PriorityInteractive)
+			waitFor(t, func() bool {
+				s.cores.mu.Lock()
+				defer s.cores.mu.Unlock()
+				return s.cores.free == 0 && s.cores.batchHeld > 0
+			}, "interactive scan waited for the batch-priority pass over its table")
+			release()
+			for i := 0; i <= n; i++ {
+				if err := <-errc; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

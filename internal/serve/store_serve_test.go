@@ -324,6 +324,11 @@ func TestCheckpointIntervalPersistsInBackground(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// Server.Checkpoint counts the checkpoint only after store.Checkpoint
+	// has returned, i.e. after the version above became visible.
+	for s.Health().Checkpoints == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if s.Health().Checkpoints == 0 {
 		t.Fatal("health reports zero checkpoints after background commit")
 	}
